@@ -240,14 +240,13 @@ class ModelRegistry:
         parent: "ModelVersion | int | None" = None,
         tags: tuple[str, ...] | list[str] = (),
         metadata: dict | None = None,
-        embedding: np.ndarray | None = None,
         compress: bool = True,
     ) -> ModelVersion:
         """Publish a model under ``name``; mints and returns the next version.
 
         ``source`` is either a learned :class:`~repro.core.sgl.SGLResult`
-        (persisted via :func:`~repro.artifacts.save_result`, optionally with
-        an explicit precomputed ``embedding``) or the path of an existing
+        (persisted via :func:`~repro.artifacts.save_result`, which stores
+        the result's own embedding) or the path of an existing
         artifact file (copied in after a checksum read validates it).  The
         artifact lands in the registry *before* the index references it, so
         readers never see a dangling entry.  ``parent`` records lineage;
@@ -292,7 +291,7 @@ class ModelRegistry:
                             json.loads(bytes(data["meta_json"].tobytes()))["n_nodes"]
                         )
                 else:
-                    save_result(source, tmp, embedding=embedding, compress=compress)
+                    save_result(source, tmp, compress=compress)
                     checksum = artifact_checksum(tmp)
                     n_nodes = source.graph.n_nodes
                     n_edges = source.graph.n_edges

@@ -15,7 +15,10 @@ npz key             contents
 ``meta_json``       UTF-8 JSON blob (``uint8``): schema name + version,
                     ``n_nodes``, the :class:`~repro.core.SGLConfig` used,
                     ``engine_stats``, :class:`~repro.core.instrumentation.
-                    StageTimings`, payload checksum and provenance
+                    StageTimings`, payload checksum and provenance;
+                    :func:`save_result` adds ``stop_reason`` and
+                    ``embedding_source`` (``fit`` / ``save`` /
+                    ``explicit``)
 ==================  =====================================================
 
 Integrity is layered: :func:`load_result` checks the schema name, rejects
@@ -196,6 +199,7 @@ def save_artifact(
     timings: StageTimings | None = None,
     source: str = "save_artifact",
     compress: bool = True,
+    extra_meta: dict | None = None,
 ) -> Path:
     """Low-level writer: persist a graph + config (+ optional extras).
 
@@ -206,7 +210,8 @@ def save_artifact(
     ``compress=False`` stores the payload arrays uncompressed
     (``np.savez``), which costs disk but lets :func:`load_result` serve
     them as zero-copy memory maps (``mmap_mode="r"``) — the trade the
-    read-only serve path wants.
+    read-only serve path wants.  ``extra_meta`` adds JSON-ready keys to the
+    metadata blob (the fixed keys above cannot be overridden).
 
     Examples
     --------
@@ -238,6 +243,7 @@ def save_artifact(
         ),
     }
     meta = {
+        **(extra_meta or {}),
         "schema": ARTIFACT_SCHEMA,
         "schema_version": ARTIFACT_VERSION,
         "n_nodes": graph.n_nodes,
@@ -280,10 +286,13 @@ def save_result(
         Target ``.npz`` path (parent directories are created).
     include_embedding:
         When True (default) and no explicit ``embedding`` is given, the
-        spectral embedding of the *learned* graph is computed here (one
-        eigensolve, using the result's own config) and stored, so serving
-        can answer nearest-neighbour and cluster queries without touching
-        an eigensolver at load time.
+        spectral embedding of the *learned* graph is stored, so serving can
+        answer nearest-neighbour and cluster queries without touching an
+        eigensolver at load time.  It is the fit's own final embedding
+        (``result.embedding``) when the learner kept one; only when that is
+        ``None`` is it solved here (one cold eigensolve, using the result's
+        own config).  The metadata's ``embedding_source`` records which
+        (``"fit"`` or ``"save"``).
     embedding:
         Explicit ``(N, r-1)`` embedding matrix to store instead.
     compress:
@@ -305,17 +314,22 @@ def save_result(
     True
     """
     config = result.config
+    source = "explicit" if embedding is not None else None
     if embedding is None and include_embedding:
-        from repro.embedding.spectral import spectral_embedding_matrix
+        if result.embedding is not None:
+            embedding, source = result.embedding.coordinates, "fit"
+        else:
+            from repro.embedding.spectral import spectral_embedding_matrix
 
-        embedding = spectral_embedding_matrix(
-            result.graph,
-            config.r,
-            sigma_sq=config.sigma_sq,
-            method=config.eigensolver,
-            seed=config.seed,
-            multilevel_coarse_size=config.multilevel_coarse_size,
-        ).coordinates
+            embedding = spectral_embedding_matrix(
+                result.graph,
+                config.r,
+                sigma_sq=config.sigma_sq,
+                method=config.eigensolver,
+                seed=config.seed,
+                multilevel_coarse_size=config.multilevel_coarse_size,
+            ).coordinates
+            source = "save"
     return save_artifact(
         result.graph,
         config,
@@ -325,6 +339,10 @@ def save_result(
         timings=result.timings,
         source="SGLearner.fit",
         compress=compress,
+        extra_meta={
+            "stop_reason": result.stop_reason,
+            "embedding_source": source,
+        },
     )
 
 

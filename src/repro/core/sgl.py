@@ -41,13 +41,19 @@ from repro.core.scaling import spectral_edge_scaling
 from repro.core.sensitivity import edge_sensitivities
 from repro.embedding.engine import EmbeddingEngine
 from repro.embedding.multilevel_engine import MultilevelEmbeddingEngine
-from repro.embedding.spectral import spectral_embedding_matrix
+from repro.embedding.spectral import SpectralEmbedding, spectral_embedding_matrix
 from repro.graphs.graph import WeightedGraph
 from repro.knn.knn_graph import knn_graph
 from repro.knn.mst import maximum_spanning_tree
 from repro.measurements.generator import MeasurementSet
 
-__all__ = ["SGLearner", "SGLResult", "learn_graph"]
+__all__ = ["STOP_REASONS", "SGLearner", "SGLResult", "learn_graph"]
+
+#: Why a densification loop stopped: the maximum sensitivity fell below
+#: ``tol``; no candidate edge passed ``tol`` although the maximum did not
+#: fall below it; the candidate pool ran empty; or the iteration budget ran
+#: out.
+STOP_REASONS = ("tol", "no_progress", "pool_exhausted", "max_iterations")
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,8 @@ class SGLResult:
         Per-iteration convergence records (max sensitivity, edge counts,
         optionally the objective).
     converged:
-        True when the loop stopped because the maximum sensitivity dropped
-        below ``tol`` (as opposed to exhausting candidates or iterations).
+        True unless the loop ran out of iterations (``stop_reason`` tells
+        which of the other three stops happened).
     scaling_factor:
         The global conductance factor applied by Step 5 (1.0 when currents
         were not available or scaling was disabled).
@@ -91,6 +97,15 @@ class SGLResult:
         (:meth:`repro.embedding.EngineStats.as_dict` or
         :meth:`repro.embedding.MultilevelEngineStats.as_dict`), or ``None``
         when the stateless path was used.
+    embedding:
+        The spectral embedding (Eq. 12) of ``graph`` — the scaled graph —
+        taken from the loop's last refresh when the loop left without
+        changing the graph after it (``stop_reason`` ``"tol"`` or
+        ``"no_progress"``); ``None`` otherwise, and always ``None`` for the
+        approximate multilevel engine.  :func:`repro.artifacts.
+        save_result` stores it instead of solving the eigenproblem again.
+    stop_reason:
+        Why the densification loop stopped: one of :data:`STOP_REASONS`.
 
     Examples
     --------
@@ -102,6 +117,8 @@ class SGLResult:
     True
     >>> sorted(result.engine_stats)[:2]
     ['cold_solves', 'factorizations']
+    >>> result.stop_reason, result.embedding.n_nodes
+    ('tol', 64)
     """
 
     graph: WeightedGraph
@@ -114,6 +131,8 @@ class SGLResult:
     config: SGLConfig
     timings: StageTimings = field(default_factory=StageTimings)
     engine_stats: dict | None = None
+    embedding: SpectralEmbedding | None = None
+    stop_reason: str = "max_iterations"
 
     @property
     def n_iterations(self) -> int:
@@ -252,6 +271,7 @@ class SGLearner:
             result = self._fit_body(voltages, currents, timings, checkpoint_path)
             set_attributes(
                 converged=result.converged,
+                stop_reason=result.stop_reason,
                 n_iterations=result.n_iterations,
                 n_edges_learned=result.graph.n_edges,
             )
@@ -280,6 +300,10 @@ class SGLearner:
 
         history = SGLHistory()
         converged = False
+        stop_reason = "max_iterations"
+        # The embedding of the final graph, when the loop leaves without
+        # changing the graph after its last refresh.
+        final_embedding: SpectralEmbedding | None = None
         batch_size = config.edges_per_iteration(n_nodes)
 
         engine: EmbeddingEngine | MultilevelEmbeddingEngine | None = None
@@ -307,6 +331,7 @@ class SGLearner:
         for iteration in range(config.max_iterations):
             if pool_edges.shape[0] == 0:
                 converged = True
+                stop_reason = "pool_exhausted"
                 break
             with obs_span(
                 "iteration",
@@ -381,6 +406,8 @@ class SGLearner:
                         )
                     )
                     converged = True
+                    stop_reason = "tol"
+                    final_embedding = embedding
                     set_attributes(max_sensitivity=max_sensitivity, n_edges_added=0)
                     break
 
@@ -413,6 +440,8 @@ class SGLearner:
                 )
                 if chosen.size == 0:
                     converged = True
+                    stop_reason = "no_progress"
+                    final_embedding = embedding
                     break
 
         unscaled = graph
@@ -420,6 +449,14 @@ class SGLearner:
         if config.edge_scaling and currents is not None:
             with timings.stage("edge_scaling"):
                 graph, scaling_factor = spectral_edge_scaling(graph, voltages, currents)
+        if isinstance(engine, MultilevelEmbeddingEngine):
+            # Multilevel refinements are embedding-grade (up to ~2 degrees of
+            # subspace error and 1e-2 relative eigenvalue error on medium
+            # meshes): enough to rank candidates, not to publish.  The
+            # artifact gets a cold solve instead.
+            final_embedding = None
+        if final_embedding is not None:
+            final_embedding = final_embedding.rescaled(scaling_factor)
 
         result = SGLResult(
             graph=graph,
@@ -432,6 +469,8 @@ class SGLearner:
             config=config,
             timings=timings,
             engine_stats=engine.stats.as_dict() if engine is not None else None,
+            embedding=final_embedding,
+            stop_reason=stop_reason,
         )
         if checkpoint_path is not None:
             # Local import: repro.artifacts depends on this module's types.

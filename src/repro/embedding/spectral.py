@@ -79,6 +79,30 @@ class SpectralEmbedding:
         diffs = self.coordinates[pairs[:, 0]] - self.coordinates[pairs[:, 1]]
         return np.einsum("ij,ij->i", diffs, diffs)
 
+    def rescaled(self, factor: float) -> "SpectralEmbedding":
+        """The embedding of the same graph with every conductance times ``factor``.
+
+        Scaling all edge weights scales the Laplacian: the eigenvectors stay
+        the same and every eigenvalue is multiplied by ``factor``.  This is
+        how SGL's Step 5 (one global conductance factor) maps the loop's
+        last embedding onto the scaled graph in O(N r), without a solve.
+
+        Examples
+        --------
+        >>> import numpy as np
+        >>> from repro.graphs.generators import grid_2d
+        >>> from repro.embedding import spectral_embedding_matrix
+        >>> graph = grid_2d(5, 4)
+        >>> scaled = graph.with_weights(graph.weights * 4.0)
+        >>> reused = spectral_embedding_matrix(graph, 4).rescaled(4.0)
+        >>> cold = spectral_embedding_matrix(scaled, 4)
+        >>> bool(np.allclose(reused.eigenvalues, cold.eigenvalues))
+        True
+        """
+        return embedding_from_eigenpairs(
+            self.eigenvalues * factor, self.eigenvectors, self.sigma_sq
+        )
+
 
 def embedding_from_eigenpairs(
     values: np.ndarray,

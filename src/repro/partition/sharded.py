@@ -54,7 +54,7 @@ from repro.core.instrumentation import StageTimings
 from repro.core.scaling import spectral_edge_scaling
 from repro.core.sensitivity import edge_sensitivities
 from repro.core.sgl import SGLearner, SGLResult
-from repro.embedding.spectral import spectral_embedding_matrix
+from repro.embedding.spectral import SpectralEmbedding, spectral_embedding_matrix
 from repro.graphs.graph import WeightedGraph
 from repro.knn.knn_graph import knn_graph
 from repro.knn.mst import maximum_spanning_tree
@@ -119,6 +119,18 @@ class ShardedSGLResult:
     timings:
         Stage counters including the new ``partition`` / ``shard_fit`` /
         ``stitch`` stages.
+    embedding:
+        The spectral embedding of ``graph`` (the scaled stitched graph)
+        from the last stitch sweep, when that sweep added no edge and was
+        not a multilevel solve; ``None`` otherwise.
+        :func:`repro.artifacts.save_result` stores it instead of solving
+        again.
+    stop_reason:
+        Why the stitch sweeps stopped, as for
+        :attr:`repro.core.sgl.SGLResult.stop_reason` (``"tol"``: no missing
+        candidate passed ``tol``; ``"pool_exhausted"``: no candidate was
+        missing; ``"max_iterations"``: ``stitch_sweeps`` ran out).  A
+        one-part fit reports its shard's reason.
     """
 
     graph: WeightedGraph
@@ -131,6 +143,8 @@ class ShardedSGLResult:
     converged: bool
     stitch_stats: dict
     timings: StageTimings = field(default_factory=StageTimings)
+    embedding: SpectralEmbedding | None = None
+    stop_reason: str = "max_iterations"
 
     @property
     def n_parts(self) -> int:
@@ -303,7 +317,7 @@ class ShardedSGLearner:
             shard_results = self._fit_shards(voltages, shard_nodes)
 
         with timings.stage("stitch", sweeps=self.stitch_sweeps):
-            stitched, stitch_stats = self._stitch(
+            stitched, stitch_stats, embedding, stop_reason = self._stitch(
                 voltages, candidates, partition, shard_nodes, shard_results
             )
             set_attributes(**stitch_stats)
@@ -315,6 +329,8 @@ class ShardedSGLearner:
                 stitched, scaling_factor = spectral_edge_scaling(
                     stitched, voltages, currents
                 )
+        if embedding is not None:
+            embedding = embedding.rescaled(scaling_factor)
 
         result = ShardedSGLResult(
             graph=stitched,
@@ -327,6 +343,8 @@ class ShardedSGLearner:
             converged=all(r.converged for r in shard_results),
             stitch_stats=stitch_stats,
             timings=timings,
+            embedding=embedding,
+            stop_reason=stop_reason,
         )
         if checkpoint_dir is not None:
             # Local import: repro.artifacts.sharded depends on this module.
@@ -393,8 +411,13 @@ class ShardedSGLearner:
         partition: GraphPartition,
         shard_nodes: tuple[np.ndarray, ...],
         shard_results: list[SGLResult],
-    ) -> tuple[WeightedGraph, dict]:
-        """Union the shard graphs, reconnect them, run correction sweeps."""
+    ) -> tuple[WeightedGraph, dict, SpectralEmbedding | None, str]:
+        """Union the shard graphs, reconnect them, run correction sweeps.
+
+        Returns the stitched graph, the stitch counters, the embedding of
+        the stitched graph when the last sweep left it unchanged (else
+        ``None``) and the reason the sweeps stopped.
+        """
         config = self.config
         n_nodes = partition.n_nodes
         assignment = partition.assignment
@@ -413,13 +436,14 @@ class ShardedSGLearner:
         if partition.n_parts == 1:
             # Nothing was severed: the single "shard" fit *is* the serial
             # fit, and skipping the repair stages keeps it bit-compatible.
+            only = shard_results[0]
             return stitched, {
                 "n_cut_candidates": 0,
                 "connector_edges": 0,
                 "correction_edges": [],
                 "cut_edges_admitted": 0,
                 "components_before_stitch": 1,
-            }
+            }, only.embedding, only.stop_reason
 
         key_cand = candidates.rows * np.int64(n_nodes) + candidates.cols
         key_stitched = stitched.rows * np.int64(n_nodes) + stitched.cols
@@ -458,9 +482,12 @@ class ShardedSGLearner:
         )
         batch = config.edges_per_iteration(n_nodes)
         added_per_sweep: list[int] = []
+        final_embedding: SpectralEmbedding | None = None
+        stop_reason = "max_iterations"
         for _ in range(self.stitch_sweeps):
             remaining = np.where(~present)[0]
             if remaining.size == 0:
+                stop_reason = "pool_exhausted"
                 break
             embedding = spectral_embedding_matrix(
                 stitched,
@@ -477,6 +504,9 @@ class ShardedSGLearner:
             chosen = order[sensitivities[order] > config.tol]
             if chosen.size == 0:
                 added_per_sweep.append(0)
+                # A multilevel solve is approximate: publish a cold one.
+                final_embedding = None if method == "multilevel" else embedding
+                stop_reason = "tol"
                 break
             selected = remaining[chosen]
             stitched = stitched.add_edges(
@@ -493,4 +523,4 @@ class ShardedSGLearner:
             "cut_edges_admitted": int((present & crossing).sum()),
             "components_before_stitch": int(n_comp),
         }
-        return stitched, stats
+        return stitched, stats, final_embedding, stop_reason

@@ -67,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.artifacts.registry import is_model_ref
+from repro.artifacts.registry import RegistryError, is_model_ref
 from repro.artifacts.store import load_result
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import span as obs_span
@@ -247,6 +247,11 @@ class GraphService:
         self._misses = self.metrics.counter("serve.cache.misses")
         self._evictions = 0
         self._loads = 0
+        self._follow_errors = {
+            reason: self.metrics.counter(f"serve.follow.errors.{reason}")
+            for reason in ("unresolved", "load")
+        }
+        self._follow_last_error: dict | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -400,29 +405,39 @@ class GraphService:
         """Hot-follow a registry reference, swapping as versions publish.
 
         Re-resolves ``ref`` (e.g. ``"online@latest"``) every
-        ``poll_interval`` seconds.  When it resolves to a new artifact the
-        session is built on the loader pool and the reference mapping is
-        swapped under the cache lock, so queries addressed to ``ref`` move
-        to the new version atomically: requests already batched finish on
-        the session object they hold, later ones see the new model — no
-        request ever fails because of the swap.  ``on_swap(session)`` is
+        ``poll_interval`` seconds.  A registry reference is compared by the
+        checksum its index record carries, so an unchanged version costs
+        one index read per poll; the artifact is loaded (and fully
+        validated) only when that checksum differs from the served one.  A
+        plain path is re-read on every poll.  When ``ref`` resolves to a
+        new artifact the session is built on the loader pool and the
+        reference mapping is swapped under the cache lock, so queries
+        addressed to ``ref`` move to the new version atomically: requests
+        already batched finish on the session object they hold, later ones
+        see the new model — no request ever fails because of the swap.  ``on_swap(session)`` is
         called after each swap (the initial load included); ``stop`` ends
         the loop.  A reference that does not resolve yet (name not
         published) is retried, so a follower may start before the first
-        publish.
+        publish.  Failed polls are counted by reason — ``unresolved`` (the
+        registry could not resolve ``ref``) or ``load`` (the artifact could
+        not be read or validated) — and the last one is kept; both show in
+        :meth:`stats` under ``follow``.
         """
         if self._registry is None:
             raise ValueError("follow() requires a GraphService(registry=...)")
         loop = asyncio.get_running_loop()
+        target = self._norm_path(ref)
         current: str | None = None
         while not self._closed and (stop is None or not stop.is_set()):
             try:
-                session = await loop.run_in_executor(self._loader, self.warm, ref)
-            except Exception:
+                session = await loop.run_in_executor(
+                    self._loader, self._follow_poll, target, current
+                )
+            except Exception as exc:
                 # Not published yet, torn read, transient IO — retry.
-                self.metrics.counter("serve.follow.errors").inc()
+                self._follow_failed(exc)
             else:
-                if session.checksum != current:
+                if session is not None and session.checksum != current:
                     current = session.checksum
                     self.metrics.counter("serve.follow.swaps").inc()
                     if on_swap is not None:
@@ -434,6 +449,35 @@ class GraphService:
                     await asyncio.wait_for(stop.wait(), timeout=poll_interval)
                 except asyncio.TimeoutError:
                     pass
+
+    def _follow_poll(self, target: str, current: str | None) -> GraphSession | None:
+        """One :meth:`follow` poll: ``None`` while ``target`` still serves ``current``.
+
+        For a registry reference the index record's checksum decides; the
+        artifact is loaded only when it changed or the served session left
+        the cache.  Anything else goes through :meth:`warm`.
+        """
+        if current is not None and self._registry is not None and is_model_ref(target):
+            self._registry.reload()
+            checksum = self._registry.get(target).checksum
+            with self._cache_lock:
+                if (
+                    checksum == current
+                    and self._path_keys.get(target) == current
+                    and current in self._sessions
+                ):
+                    return None
+        return self.warm(target)
+
+    def _follow_failed(self, exc: Exception) -> None:
+        """Count a failed :meth:`follow` poll under its reason label."""
+        reason = "unresolved" if isinstance(exc, RegistryError) else "load"
+        self._follow_last_error = {
+            "reason": reason,
+            "error": f"{type(exc).__name__}: {exc}",
+        }
+        self._follow_errors[reason].inc()
+        self.metrics.counter("serve.follow.errors").inc()
 
     def session(self, path: str | Path) -> GraphSession:
         """The cached session for ``path``, loading it on first use.
@@ -576,7 +620,7 @@ class GraphService:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Service statistics: cache state, batching counters, per-session.
+        """Service statistics: cache, follow errors, batching, per-session.
 
         Numpy scalars are coerced to builtins at this boundary, so the
         result is always ``json.dumps``-able (the TCP ``stats`` reply
@@ -585,6 +629,12 @@ class GraphService:
         with self._cache_lock:
             sessions = dict(self._sessions)
             loads, evictions = self._loads, self._evictions
+        follow = {
+            "errors": {
+                reason: counter.value for reason, counter in self._follow_errors.items()
+            },
+            "last_error": self._follow_last_error,
+        }
         return jsonable({
             "sessions": {
                 "loaded": len(sessions),
@@ -593,6 +643,7 @@ class GraphService:
                 "evictions": evictions,
                 "checksums": list(sessions),
             },
+            "follow": follow,
             "batching": self._batcher.stats.as_dict(),
             "per_session": {
                 checksum: session.stats() for checksum, session in sessions.items()

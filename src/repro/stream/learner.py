@@ -260,10 +260,14 @@ class OnlineSGLearner:
         self.drift.reset(self.window, self._scaled_graph)
 
     def _publish(self, timings: StageTimings, update: StreamUpdate | None, *, mode: str,
-                 decision: DriftDecision | None, history: SGLHistory) -> object | None:
+                 decision: DriftDecision | None, history: SGLHistory,
+                 stop_reason: str) -> object | None:
         if self.registry is None:
             return None
         with timings.stage("publish"):
+            # The engine embeds the unscaled working graph; the artifact
+            # stores the Step-5 scaled one, whose Laplacian eigenvalues are
+            # the unscaled ones times the scaling factor.
             snapshot = SGLResult(
                 graph=self._scaled_graph,
                 unscaled_graph=self._graph,
@@ -275,6 +279,8 @@ class OnlineSGLearner:
                 config=self.config,
                 timings=timings,
                 engine_stats=self._engine.stats.as_dict(),
+                embedding=self._embedding.rescaled(self._scaling_factor),
+                stop_reason=stop_reason,
             )
             metadata = {
                 "stream": {
@@ -289,7 +295,6 @@ class OnlineSGLearner:
                 self.model_name,
                 parent=self._version,
                 metadata=metadata,
-                embedding=self._embedding.coordinates,
             )
         return self._version
 
@@ -305,7 +310,8 @@ class OnlineSGLearner:
             result = SGLearner(self.config).fit(self.window, timings=timings)
             self._adopt_refit(result)
             version = self._publish(
-                timings, None, mode="initial", decision=None, history=result.history
+                timings, None, mode="initial", decision=None, history=result.history,
+                stop_reason=result.stop_reason,
             )
         update = StreamUpdate(
             index=0,
@@ -348,11 +354,15 @@ class OnlineSGLearner:
                 max_sensitivity = (
                     history.records[-1].max_sensitivity if len(history) else 0.0
                 )
+                stop_reason = result.stop_reason
             else:
                 mode = "incremental"
-                history, n_added, max_sensitivity = self._incremental_pass(timings)
+                history, n_added, max_sensitivity, stop_reason = self._incremental_pass(
+                    timings
+                )
             version = self._publish(
-                timings, None, mode=mode, decision=decision, history=history
+                timings, None, mode=mode, decision=decision, history=history,
+                stop_reason=stop_reason,
             )
             set_attributes(
                 mode=mode,
@@ -380,16 +390,24 @@ class OnlineSGLearner:
     # ------------------------------------------------------------------
     def _incremental_pass(
         self, timings: StageTimings
-    ) -> tuple[SGLHistory, int, float]:
-        """Bounded densification against the current window (no cold solve)."""
+    ) -> tuple[SGLHistory, int, float, str]:
+        """Bounded densification against the current window (no cold solve).
+
+        Returns the pass's history, the edges it added, the last maximum
+        sensitivity and why it stopped (see :data:`repro.core.sgl.
+        STOP_REASONS`; ``"max_iterations"`` is ``incremental_iterations``
+        running out).
+        """
         config = self.config
         voltages = self._voltages
         history = SGLHistory()
         total_added = 0
         max_sensitivity = 0.0
         batch_size = config.edges_per_iteration(self._graph.n_nodes)
+        stop_reason = "max_iterations"
         for iteration in range(self.incremental_iterations):
             if self._pool_edges.shape[0] == 0:
+                stop_reason = "pool_exhausted"
                 break
             with timings.stage("sensitivity"):
                 sensitivities = edge_sensitivities(
@@ -409,6 +427,7 @@ class OnlineSGLearner:
                         n_edges_added=0,
                     )
                 )
+                stop_reason = "tol"
                 break
             with timings.stage("edge_selection"):
                 order = np.argsort(sensitivities)[::-1][:batch_size]
@@ -430,6 +449,7 @@ class OnlineSGLearner:
                 )
             )
             if chosen.size == 0:
+                stop_reason = "no_progress"
                 break
             # Warm-started refresh keyed to exactly the edges just added.
             refresh_start = time.perf_counter()
@@ -456,4 +476,4 @@ class OnlineSGLearner:
             and max_sensitivity > self.degradation_ratio * self._refit_sensitivity
         ):
             self.drift.flag_degradation()
-        return history, total_added, max_sensitivity
+        return history, total_added, max_sensitivity, stop_reason

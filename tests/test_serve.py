@@ -628,19 +628,26 @@ class TestServiceConcurrency:
     def test_service_throughput_floor_vs_naive(self, learned, artifact_path):
         # At fixed concurrency the batched service path must beat per-pair
         # solves by a comfortable margin; the floor is deliberately loose
-        # (the real gap is >3x) so a loaded CI runner does not flake.
+        # (the real gap is >3x).  A single wall-clock run of each path
+        # flakes when the host stalls during one of them, so naive and
+        # service runs are interleaved over three rounds and the best of
+        # each is compared: a stall would have to hit every round of one
+        # path to move the verdict.
         n = 512
         pairs = sample_node_pairs(learned.graph.n_nodes, n, seed=7)
         session = GraphSession.from_file(artifact_path)
-        naive_start = time.perf_counter()
-        for pair in pairs:
-            effective_resistance(learned.graph, pair[None, :], solver=session.solver)
-        naive_seconds = time.perf_counter() - naive_start
-
         service = GraphService(max_batch_size=64, max_delay_s=0.002)
         service.warm(artifact_path)
 
-        async def run():
+        def run_naive():
+            start = time.perf_counter()
+            for pair in pairs:
+                effective_resistance(
+                    learned.graph, pair[None, :], solver=session.solver
+                )
+            return time.perf_counter() - start
+
+        async def run_service():
             start = time.perf_counter()
             await asyncio.gather(
                 *(
@@ -651,9 +658,13 @@ class TestServiceConcurrency:
             return time.perf_counter() - start
 
         # Warm once (index/label caches), then measure.
-        asyncio.run(run())
-        service_seconds = asyncio.run(run())
+        asyncio.run(run_service())
+        naive_times, service_times = [], []
+        for _ in range(3):
+            naive_times.append(run_naive())
+            service_times.append(asyncio.run(run_service()))
         service.close()
+        naive_seconds, service_seconds = min(naive_times), min(service_times)
         assert service_seconds < naive_seconds * 0.85, (
             f"service path ({n / service_seconds:.0f} q/s) is not beating "
             f"naive per-pair solves ({n / naive_seconds:.0f} q/s)"

@@ -228,6 +228,113 @@ class TestFollowHotSwap:
         assert stats.get("serve.follow.swaps", 0) == 1
         service.close()
 
+    def test_follow_loads_only_new_versions(
+        self, model_a, model_b, tmp_path, monkeypatch
+    ):
+        import repro.serve.service as service_module
+
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.publish(model_a, "grid")
+        service = GraphService(registry=registry)
+        loads = []
+        real_load = service_module.load_result
+
+        def counting_load(path, **kwargs):
+            loads.append(str(path))
+            return real_load(path, **kwargs)
+
+        monkeypatch.setattr(service_module, "load_result", counting_load)
+        polls = []
+        real_reload = registry.reload
+
+        def counting_reload():
+            polls.append(1)
+            real_reload()
+
+        monkeypatch.setattr(registry, "reload", counting_reload)
+        swapped = []
+
+        async def scenario():
+            stop = asyncio.Event()
+            task = asyncio.create_task(
+                service.follow(
+                    "grid@latest",
+                    poll_interval=0.005,
+                    stop=stop,
+                    on_swap=lambda session: swapped.append(session.checksum),
+                )
+            )
+            deadline = asyncio.get_running_loop().time() + 5.0
+            while len(polls) < 20 and asyncio.get_running_loop().time() < deadline:
+                await asyncio.sleep(0.01)
+            unchanged_loads = len(loads)
+            ModelRegistry(tmp_path / "registry").publish(model_b, "grid")
+            while len(swapped) < 2 and asyncio.get_running_loop().time() < deadline:
+                await asyncio.sleep(0.01)
+            stop.set()
+            await asyncio.wait_for(task, timeout=2.0)
+            return unchanged_loads
+
+        unchanged_loads = asyncio.run(scenario())
+        assert len(polls) >= 20
+        # An unchanged reference is loaded once however often it is polled;
+        # the new publish is loaded (and validated) once more and swapped in.
+        assert unchanged_loads == 1
+        assert len(loads) == 2
+        assert swapped == [
+            registry.get("grid@1").checksum,
+            registry.get("grid@2").checksum,
+        ]
+        assert service.stats()["follow"]["errors"] == {"unresolved": 0, "load": 0}
+        service.close()
+
+    def test_follow_errors_keep_a_reason_and_the_last_error(
+        self, model_a, tmp_path, monkeypatch
+    ):
+        import repro.serve.service as service_module
+        from repro.artifacts import ArtifactFormatError
+
+        registry = ModelRegistry(tmp_path / "registry")
+        service = GraphService(registry=registry)
+        real_load = service_module.load_result
+        failures = [ArtifactFormatError("torn artifact")]
+
+        def flaky_load(path, **kwargs):
+            if failures:
+                raise failures.pop()
+            return real_load(path, **kwargs)
+
+        monkeypatch.setattr(service_module, "load_result", flaky_load)
+
+        async def scenario():
+            stop = asyncio.Event()
+            task = asyncio.create_task(
+                service.follow("grid@latest", poll_interval=0.02, stop=stop)
+            )
+            await asyncio.sleep(0.1)  # "grid" is not published yet
+            registry.publish(model_a, "grid")
+            deadline = asyncio.get_running_loop().time() + 3.0
+            while asyncio.get_running_loop().time() < deadline:
+                if service.stats()["metrics"]["counters"].get("serve.follow.swaps", 0):
+                    break
+                await asyncio.sleep(0.02)
+            stop.set()
+            await asyncio.wait_for(task, timeout=2.0)
+
+        asyncio.run(scenario())
+        stats = service.stats()
+        errors = stats["follow"]["errors"]
+        assert errors["unresolved"] >= 1 and errors["load"] == 1
+        assert stats["follow"]["last_error"] == {
+            "reason": "load",
+            "error": "ArtifactFormatError: torn artifact",
+        }
+        counters = stats["metrics"]["counters"]
+        assert counters["serve.follow.errors"] == errors["unresolved"] + 1
+        assert counters["serve.follow.errors.load"] == 1
+        assert counters["serve.follow.swaps"] == 1
+        service.close()
+
 
 class TestMmapServing:
     def test_service_answers_from_mmapped_artifact(self, model_a, tmp_path):
