@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max relative slowdown of the fastest-repeat wall time "
                        "(default 0.20)")
     p_cmp.add_argument("--quality-threshold", type=float, default=0.05,
-                       help="max absolute resistance-correlation drop (default 0.05)")
+                       help="max absolute resistance-correlation drop and max "
+                       "relative density growth (default 0.05)")
     return parser
 
 

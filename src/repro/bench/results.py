@@ -24,7 +24,7 @@ Artifact layout (``BENCH_<tag>.json``, schema v1)::
   stage-level regression offset by a win elsewhere;
 * *quality regressions*: effective-resistance correlation dropped by more
   than ``quality_threshold`` (absolute), or learned density grew by more
-  than ``time_threshold`` (relative).
+  than ``quality_threshold`` (relative).
 
 Records present on only one side are reported as notes, not failures, so
 adding scenarios never breaks the gate; so is engine-provenance drift (a
@@ -245,10 +245,12 @@ def compare(
     time_threshold:
         Maximum tolerated relative slowdown of the *fastest repeat* wall
         time (0.20 = 20 %) — the fastest repeat is far less sensitive to
-        scheduler interference than the mean.  Also used as the relative
-        bound on density growth.
+        scheduler interference than the mean.
     quality_threshold:
-        Maximum tolerated absolute drop in ``resistance_correlation``.
+        Maximum tolerated absolute drop in ``resistance_correlation``, and
+        the relative bound on density growth (0.05 = 5 %).  Density is a
+        quality, not a timing: the loose time thresholds cross-machine
+        gates use must not let a learned graph grow several-fold.
     min_seconds:
         Records whose baseline wall time is below this are exempt from the
         time gate (timer noise dominates few-millisecond records).
@@ -361,7 +363,7 @@ def compare(
         base_density = base["quality"].get("density")
         cand_density = cand["quality"].get("density")
         if base_density is not None and cand_density is not None and base_density > 0:
-            if cand_density > base_density * (1.0 + time_threshold):
+            if cand_density > base_density * (1.0 + quality_threshold):
                 report.regressions.append(
                     Regression(
                         scenario=scenario,
@@ -371,7 +373,7 @@ def compare(
                         candidate=cand_density,
                         message=(
                             f"learned density {base_density:.3f} -> {cand_density:.3f} "
-                            f"(grew > {time_threshold:.0%})"
+                            f"(grew > {quality_threshold:.0%})"
                         ),
                     )
                 )

@@ -406,6 +406,7 @@ def run_scenario(
             peak_memory_bytes=peak_memory,
             info={
                 "converged": result.converged,
+                "stop_reason": result.stop_reason,
                 "n_iterations": result.n_iterations,
                 "scaling_factor": result.scaling_factor,
                 "graph_build_seconds": graph_seconds,

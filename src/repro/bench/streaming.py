@@ -29,7 +29,10 @@ Three records per scenario ride the existing artifact/compare machinery:
 
 With ``trace_dir`` the whole run is traced: ``stream.update`` spans carry
 the per-update stage tree, and each record's ``info`` names the trace
-artifact plus the registry index for lineage inspection.
+artifact plus the registry index for lineage inspection.  Every record's
+``info`` also says why its densification stopped: ``stop_reason`` on the
+fit and refit records, ``stop_reasons`` (one per update) on the update
+record.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ def _stream_records_body(
             wall_seconds=[first.wall_seconds],
             stage_seconds=first.timings.as_dict(),
             quality=quality_metrics(truth, first.graph, initial.voltages, seed=seed),
-            info={**base_info, "version": first.version.version},
+            info={**base_info, "version": first.version.version, "stop_reason": first.stop_reason},
         )
     ]
 
@@ -217,6 +220,7 @@ def _stream_records_body(
                 "mean_update_seconds": mean_update,
                 "refit_seconds": refit_seconds,
                 "reasons": [u.decision.reason for u in updates],
+                "stop_reasons": [u.stop_reason for u in updates],
                 "lineage": lineage,
                 "latest_version": learner.last_version.version,
             },
@@ -233,7 +237,7 @@ def _stream_records_body(
             wall_seconds=[refit_seconds],
             stage_seconds=refit_timings.as_dict(),
             quality=refit_quality,
-            info=dict(base_info),
+            info={**base_info, "stop_reason": refit_result.stop_reason},
         )
     )
     return records

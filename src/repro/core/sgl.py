@@ -19,6 +19,12 @@ coarsen-solve-refine :class:`~repro.embedding.MultilevelEmbeddingEngine`
 (the paper's near-linear-time path, fastest at paper scale), and
 ``"stateless"`` restores the old recompute-every-iteration behaviour.
 
+Steps 2-4 live in one kernel, :class:`Densifier`, and Step 5 in
+:func:`scale_step`.  :class:`SGLearner`, the stream learner
+(:class:`~repro.stream.OnlineSGLearner`) and the sharded learner's stitch
+(:class:`~repro.partition.ShardedSGLearner`) all drive that kernel; they
+differ only in the graph, candidate pool and engine they hand it.
+
 The result is an ultra-sparse resistor network (density slightly above one)
 whose spectral-embedding / effective-resistance distances encode the measured
 voltage distances.
@@ -26,7 +32,7 @@ voltage distances.
 
 from __future__ import annotations
 
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,15 +45,23 @@ from repro.obs.tracing import set_attributes, span as obs_span
 from repro.core.objective import graphical_lasso_objective
 from repro.core.scaling import spectral_edge_scaling
 from repro.core.sensitivity import edge_sensitivities
-from repro.embedding.engine import EmbeddingEngine
+from repro.embedding.engine import EmbeddingEngine, StatelessEngine
 from repro.embedding.multilevel_engine import MultilevelEmbeddingEngine
-from repro.embedding.spectral import SpectralEmbedding, spectral_embedding_matrix
+from repro.embedding.spectral import SpectralEmbedding
 from repro.graphs.graph import WeightedGraph
 from repro.knn.knn_graph import knn_graph
 from repro.knn.mst import maximum_spanning_tree
 from repro.measurements.generator import MeasurementSet
 
-__all__ = ["STOP_REASONS", "SGLearner", "SGLResult", "learn_graph"]
+__all__ = [
+    "STOP_REASONS",
+    "Densifier",
+    "SGLearner",
+    "SGLResult",
+    "build_engine",
+    "learn_graph",
+    "scale_step",
+]
 
 #: Why a densification loop stopped: the maximum sensitivity fell below
 #: ``tol``; no candidate edge passed ``tol`` although the maximum did not
@@ -101,9 +115,11 @@ class SGLResult:
         The spectral embedding (Eq. 12) of ``graph`` — the scaled graph —
         taken from the loop's last refresh when the loop left without
         changing the graph after it (``stop_reason`` ``"tol"`` or
-        ``"no_progress"``); ``None`` otherwise, and always ``None`` for the
-        approximate multilevel engine.  :func:`repro.artifacts.
-        save_result` stores it instead of solving the eigenproblem again.
+        ``"no_progress"``) and the engine's last embedding is exact-grade;
+        ``None`` otherwise — the multilevel engine and any
+        ``eigensolver="multilevel"`` cold solve are approximate.
+        :func:`repro.artifacts.save_result` stores it instead of solving
+        the eigenproblem again.
     stop_reason:
         Why the densification loop stopped: one of :data:`STOP_REASONS`.
 
@@ -143,6 +159,183 @@ class SGLResult:
     def density(self) -> float:
         """Density ``|E|/|V|`` of the learned graph."""
         return self.graph.density
+
+
+def _stage(timings: StageTimings | None, name: str):
+    """``timings.stage(name)``, or an untimed block without timings."""
+    return nullcontext() if timings is None else timings.stage(name)
+
+
+def build_engine(config: SGLConfig, kind: str | None = None):
+    """The embedding engine for ``config`` (``kind`` overrides ``config.embedding_engine``).
+
+    Every engine speaks one protocol: ``refresh(graph, added_edges,
+    timings=None)`` returns the embedding of ``graph`` and records its own
+    stages; ``exact_grade`` says whether that embedding may be published;
+    ``stats`` holds its refresh counters (``None`` for the stateless engine).
+    """
+    kind = config.embedding_engine if kind is None else kind
+    common = dict(sigma_sq=config.sigma_sq, seed=config.seed)
+    if kind == "multilevel":
+        return MultilevelEmbeddingEngine(
+            config.r,
+            coarse_size=config.multilevel_coarse_size,
+            churn_threshold=config.multilevel_churn_threshold,
+            refinement=config.refinement_backend,
+            refine_dtype=config.refine_dtype,
+            linalg_backend=config.linalg_backend,
+            **common,
+        )
+    engine = EmbeddingEngine if kind == "incremental" else StatelessEngine
+    return engine(
+        config.r,
+        method=config.eigensolver,
+        multilevel_coarse_size=config.multilevel_coarse_size,
+        **common,
+    )
+
+
+def scale_step(
+    config: SGLConfig, graph: WeightedGraph, voltages: np.ndarray, currents: np.ndarray | None,
+    embedding: SpectralEmbedding | None, timings: StageTimings | None = None,
+) -> tuple[WeightedGraph, float, SpectralEmbedding | None]:
+    """Step 5 when ``config.edge_scaling`` is set and currents exist.
+
+    Returns the scaled graph, the factor (1.0 when not scaled) and
+    ``embedding`` — a :attr:`Densifier.final_embedding` — mapped onto the
+    scaled graph (eigenvalues times the factor), or ``None``.
+    """
+    factor = 1.0
+    if config.edge_scaling and currents is not None:
+        with _stage(timings, "edge_scaling"):
+            graph, factor = spectral_edge_scaling(graph, voltages, currents)
+    return graph, factor, None if embedding is None else embedding.rescaled(factor)
+
+
+class Densifier:
+    """Algorithm 1's densification kernel: one embed-rank-add step at a time.
+
+    Holds the working ``graph``, the candidate pool (``pool_edges`` /
+    ``pool_weights``, in order), an ``engine`` from :func:`build_engine` and
+    the edges added since the engine last saw the graph; ``config`` supplies
+    ``tol``, the batch size, ``sensitivity_samples``, the seed and the
+    objective options.  :class:`SGLearner` drives it for a whole fit, the
+    stream learner for its incremental passes and the sharded learner for
+    its stitch sweeps; only the batch fit asks for ``iteration_spans``.
+
+    The engine is refreshed lazily, at the start of the next :meth:`step`
+    (or by :meth:`refresh`), so a loop that stops after adding edges never
+    pays for an embedding it does not use.
+    """
+
+    def __init__(
+        self, config: SGLConfig, graph: WeightedGraph, pool_edges: np.ndarray,
+        pool_weights: np.ndarray, engine, *, iteration_spans: bool = False,
+    ) -> None:
+        self.config = config
+        self.graph = graph
+        self.pool_edges = pool_edges
+        self.pool_weights = pool_weights
+        self.engine = engine
+        self.iteration_spans = iteration_spans
+        self.batch_size = config.edges_per_iteration(graph.n_nodes)
+        self.history = SGLHistory()
+        self.embedding: SpectralEmbedding | None = None
+        self._stale = True
+        self._added: np.ndarray | None = None
+
+    @property
+    def final_embedding(self) -> SpectralEmbedding | None:
+        """The embedding of :attr:`graph`, when it may be published.
+
+        ``None`` when the graph changed after the last refresh or the
+        engine's last embedding is not exact-grade.
+        """
+        return None if self._stale or not self.engine.exact_grade else self.embedding
+
+    def refresh(self, timings: StageTimings | None = None) -> SpectralEmbedding:
+        """Bring the engine up to date with :attr:`graph` and return its embedding."""
+        if self._stale:
+            self.embedding = self.engine.refresh(self.graph, self._added, timings=timings)
+            self._stale, self._added = False, None
+        return self.embedding
+
+    def step(
+        self, voltages: np.ndarray, timings: StageTimings | None = None
+    ) -> tuple[IterationRecord | None, str | None]:
+        """One iteration of Algorithm 1 (Steps 2-4).
+
+        Returns the iteration's record (``None`` when the pool was already
+        empty) and the stop reason from :data:`STOP_REASONS`, or ``None``
+        to continue.
+        """
+        if self.pool_edges.shape[0] == 0:
+            return None, "pool_exhausted"
+        config = self.config
+        span = nullcontext()
+        if self.iteration_spans:
+            span = obs_span(
+                "iteration",
+                iteration=len(self.history),
+                n_edges=self.graph.n_edges,
+                n_candidates=int(self.pool_edges.shape[0]),
+            )
+        with span:
+            embedding = self.refresh(timings)
+            with _stage(timings, "sensitivity"):
+                sensitivities = edge_sensitivities(
+                    embedding, voltages, self.pool_edges,
+                    n_samples=config.sensitivity_samples, seed=config.seed,
+                )
+            max_sensitivity = float(sensitivities.max())
+
+            objective = None
+            if config.track_objective:
+                with _stage(timings, "objective"):
+                    objective = graphical_lasso_objective(
+                        self.graph, voltages, sigma_sq=config.sigma_sq,
+                        n_eigenvalues=config.objective_eigenvalues, seed=config.seed,
+                    )
+
+            n_added = 0
+            stop = "tol" if max_sensitivity < config.tol else None
+            if stop is None:
+                # Step 3: add the top-ranked influential edges.
+                with _stage(timings, "edge_selection"):
+                    order = np.argsort(sensitivities)[::-1][: self.batch_size]
+                    chosen = order[sensitivities[order] > config.tol]
+                    add_edges = self.pool_edges[chosen]
+                    self.graph = self.graph.add_edges(add_edges, self.pool_weights[chosen])
+                    keep = np.ones(self.pool_edges.shape[0], dtype=bool)
+                    keep[chosen] = False
+                    self.pool_edges = self.pool_edges[keep]
+                    self.pool_weights = self.pool_weights[keep]
+                n_added = int(chosen.size)
+                if n_added:
+                    self._stale, self._added = True, add_edges
+                else:
+                    stop = "no_progress"
+
+            record = IterationRecord(
+                iteration=len(self.history),
+                max_sensitivity=max_sensitivity,
+                n_edges=self.graph.n_edges,
+                n_edges_added=n_added,
+                objective=objective,
+            )
+            self.history.append(record)
+            if self.iteration_spans:
+                set_attributes(max_sensitivity=max_sensitivity, n_edges_added=n_added)
+        return record, stop
+
+    def run(self, n_steps: int, voltages: np.ndarray, timings: StageTimings | None = None) -> str:
+        """Up to ``n_steps`` steps from a fresh :attr:`history`; returns the stop reason."""
+        self.history = SGLHistory()
+        for _ in range(n_steps):
+            _, stop = self.step(voltages, timings)
+            if stop is not None:
+                return stop
+        return "max_iterations"
 
 
 class SGLearner:
@@ -286,8 +479,6 @@ class SGLearner:
     ) -> SGLResult:
         """The body of :meth:`fit`, run under the ``sgl.fit`` root span."""
         config = self.config
-        n_nodes = voltages.shape[0]
-
         candidates, graph = self._initial_graphs(voltages, timings)
         initial_graph = graph.copy()
 
@@ -298,177 +489,26 @@ class SGLearner:
             pool_edges = candidates.edges[pool_mask]
             pool_weights = candidates.weights[pool_mask].copy()
 
-        history = SGLHistory()
-        converged = False
-        stop_reason = "max_iterations"
-        # The embedding of the final graph, when the loop leaves without
-        # changing the graph after its last refresh.
-        final_embedding: SpectralEmbedding | None = None
-        batch_size = config.edges_per_iteration(n_nodes)
-
-        engine: EmbeddingEngine | MultilevelEmbeddingEngine | None = None
-        if config.embedding_engine == "incremental":
-            engine = EmbeddingEngine(
-                config.r,
-                sigma_sq=config.sigma_sq,
-                method=config.eigensolver,
-                seed=config.seed,
-                multilevel_coarse_size=config.multilevel_coarse_size,
-            )
-        elif config.embedding_engine == "multilevel":
-            engine = MultilevelEmbeddingEngine(
-                config.r,
-                sigma_sq=config.sigma_sq,
-                coarse_size=config.multilevel_coarse_size,
-                churn_threshold=config.multilevel_churn_threshold,
-                refinement=config.refinement_backend,
-                refine_dtype=config.refine_dtype,
-                linalg_backend=config.linalg_backend,
-                seed=config.seed,
-            )
-        added_edges: np.ndarray | None = None
-
-        for iteration in range(config.max_iterations):
-            if pool_edges.shape[0] == 0:
-                converged = True
-                stop_reason = "pool_exhausted"
-                break
-            with obs_span(
-                "iteration",
-                iteration=iteration,
-                n_edges=graph.n_edges,
-                n_candidates=int(pool_edges.shape[0]),
-            ):
-                if isinstance(engine, MultilevelEmbeddingEngine):
-                    # The engine times its own phases into "coarsen" /
-                    # "refine" (and tags the spans with its V-cycle state).
-                    embedding = engine.refresh(graph, added_edges, timings=timings)
-                elif engine is not None:
-                    # Warm refreshes land in "embedding_warm"; cold solves
-                    # and fallbacks stay in "embedding" so the stages stay
-                    # comparable with the stateless path.  The stage name is
-                    # only known after the refresh, hence add_interval.
-                    start = time.perf_counter()
-                    embedding = engine.refresh(graph, added_edges)
-                    end = time.perf_counter()
-                    stage = (
-                        "embedding_warm"
-                        if engine.last_mode in ("warm-rr", "warm-inverse")
-                        else "embedding"
-                    )
-                    timings.add_interval(
-                        stage,
-                        start,
-                        end,
-                        mode=engine.last_mode,
-                        fallbacks=engine.stats.fallbacks,
-                        factorizations=engine.stats.factorizations,
-                    )
-                else:
-                    with timings.stage("embedding", method=config.eigensolver):
-                        embedding = spectral_embedding_matrix(
-                            graph,
-                            config.r,
-                            sigma_sq=config.sigma_sq,
-                            method=config.eigensolver,
-                            seed=config.seed,
-                            multilevel_coarse_size=config.multilevel_coarse_size,
-                        )
-                with timings.stage("sensitivity"):
-                    sensitivities = edge_sensitivities(
-                        embedding,
-                        voltages,
-                        pool_edges,
-                        n_samples=config.sensitivity_samples,
-                        seed=config.seed,
-                    )
-                max_sensitivity = float(sensitivities.max())
-
-                objective = None
-                if config.track_objective:
-                    with timings.stage("objective"):
-                        objective = graphical_lasso_objective(
-                            graph,
-                            voltages,
-                            sigma_sq=config.sigma_sq,
-                            n_eigenvalues=config.objective_eigenvalues,
-                            seed=config.seed,
-                        )
-
-                if max_sensitivity < config.tol:
-                    history.append(
-                        IterationRecord(
-                            iteration=iteration,
-                            max_sensitivity=max_sensitivity,
-                            n_edges=graph.n_edges,
-                            n_edges_added=0,
-                            objective=objective,
-                        )
-                    )
-                    converged = True
-                    stop_reason = "tol"
-                    final_embedding = embedding
-                    set_attributes(max_sensitivity=max_sensitivity, n_edges_added=0)
-                    break
-
-                # Step 3: add the top-ranked influential edges.
-                with timings.stage("edge_selection"):
-                    order = np.argsort(sensitivities)[::-1][:batch_size]
-                    chosen = order[sensitivities[order] > config.tol]
-                    add_edges = pool_edges[chosen]
-                    add_weights = pool_weights[chosen]
-                    graph = graph.add_edges(add_edges, add_weights)
-                    added_edges = add_edges
-
-                    keep = np.ones(pool_edges.shape[0], dtype=bool)
-                    keep[chosen] = False
-                    pool_edges = pool_edges[keep]
-                    pool_weights = pool_weights[keep]
-
-                history.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        max_sensitivity=max_sensitivity,
-                        n_edges=graph.n_edges,
-                        n_edges_added=int(chosen.size),
-                        objective=objective,
-                    )
-                )
-                set_attributes(
-                    max_sensitivity=max_sensitivity,
-                    n_edges_added=int(chosen.size),
-                )
-                if chosen.size == 0:
-                    converged = True
-                    stop_reason = "no_progress"
-                    final_embedding = embedding
-                    break
-
-        unscaled = graph
-        scaling_factor = 1.0
-        if config.edge_scaling and currents is not None:
-            with timings.stage("edge_scaling"):
-                graph, scaling_factor = spectral_edge_scaling(graph, voltages, currents)
-        if isinstance(engine, MultilevelEmbeddingEngine):
-            # Multilevel refinements are embedding-grade (up to ~2 degrees of
-            # subspace error and 1e-2 relative eigenvalue error on medium
-            # meshes): enough to rank candidates, not to publish.  The
-            # artifact gets a cold solve instead.
-            final_embedding = None
-        if final_embedding is not None:
-            final_embedding = final_embedding.rescaled(scaling_factor)
+        engine = build_engine(config)
+        kernel = Densifier(
+            config, graph, pool_edges, pool_weights, engine, iteration_spans=True
+        )
+        stop_reason = kernel.run(config.max_iterations, voltages, timings)
+        graph, scaling_factor, final_embedding = scale_step(
+            config, kernel.graph, voltages, currents, kernel.final_embedding, timings
+        )
 
         result = SGLResult(
             graph=graph,
-            unscaled_graph=unscaled,
+            unscaled_graph=kernel.graph,
             initial_graph=initial_graph,
             knn_graph=candidates,
-            history=history,
-            converged=converged,
+            history=kernel.history,
+            converged=stop_reason != "max_iterations",
             scaling_factor=scaling_factor,
             config=config,
             timings=timings,
-            engine_stats=engine.stats.as_dict() if engine is not None else None,
+            engine_stats=None if engine.stats is None else engine.stats.as_dict(),
             embedding=final_embedding,
             stop_reason=stop_reason,
         )

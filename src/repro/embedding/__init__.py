@@ -1,11 +1,14 @@
 """Spectral graph embedding, drawing and clustering.
 
 Step 2 of SGL embeds graph nodes with the first ``r - 1`` nontrivial Laplacian
-eigenvectors scaled by ``1 / sqrt(lambda_i + 1/sigma^2)`` (Eq. 12).  Two entry
+eigenvectors scaled by ``1 / sqrt(lambda_i + 1/sigma^2)`` (Eq. 12).  Four entry
 points compute that embedding:
 
 * :func:`spectral_embedding_matrix` -- stateless, solves the eigenproblem
   from scratch on every call;
+* :class:`StatelessEngine` -- the same cold solve behind the engine
+  protocol (``refresh(graph, added_edges, timings=None)``, ``exact_grade``)
+  that every engine shares;
 * :class:`EmbeddingEngine` -- stateful and warm-started, reusing the previous
   call's eigenvectors to refresh the embedding of an incrementally densified
   graph in a few iterations (the default inside the SGL learner's loop);
@@ -24,7 +27,7 @@ from repro.embedding.spectral import (
     embedding_from_eigenpairs,
     spectral_embedding_matrix,
 )
-from repro.embedding.engine import EmbeddingEngine, EngineStats
+from repro.embedding.engine import EmbeddingEngine, EngineStats, StatelessEngine
 from repro.embedding.multilevel_engine import (
     MultilevelEmbeddingEngine,
     MultilevelEngineStats,
@@ -37,6 +40,7 @@ __all__ = [
     "SpectralEmbedding",
     "EmbeddingEngine",
     "EngineStats",
+    "StatelessEngine",
     "MultilevelEmbeddingEngine",
     "MultilevelEngineStats",
     "embedding_from_eigenpairs",

@@ -40,6 +40,8 @@ embeds in ``BENCH_<tag>.json`` artifacts.
 
 from __future__ import annotations
 
+import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Literal
 
@@ -57,7 +59,7 @@ from repro.graphs.graph import WeightedGraph
 from repro.linalg.eigen import laplacian_eigenpairs
 from repro.linalg.solvers import grounded_splu
 
-__all__ = ["EmbeddingEngine", "EngineStats"]
+__all__ = ["EmbeddingEngine", "EngineStats", "StatelessEngine"]
 
 #: Failures the warm ladder treats as "fall back to a cold solve": numerical
 #: breakdowns of the factorisation / small dense solves.  Deliberately NOT a
@@ -314,6 +316,8 @@ class EmbeddingEngine:
 
     #: Refresh outcomes reported by :attr:`last_mode`.
     MODES = ("cold", "warm-rr", "warm-inverse", "fallback")
+    #: Refresh outcomes timed under the ``embedding_warm`` stage.
+    WARM_MODES = ("warm-rr", "warm-inverse")
 
     def __init__(
         self,
@@ -362,6 +366,7 @@ class EmbeddingEngine:
 
         self.stats = EngineStats()
         self.last_mode: str | None = None
+        self.exact_grade = True
         self._values: np.ndarray | None = None
         self._vectors: np.ndarray | None = None
         self._n_nodes: int | None = None
@@ -398,11 +403,6 @@ class EmbeddingEngine:
         if delta > 0:
             self.stats.factorizations += delta
             self._inverse_factorizations_seen = self._inverse.n_factorizations
-
-    @property
-    def has_state(self) -> bool:
-        """Whether a previous refresh left warm-startable eigenpairs behind."""
-        return self._vectors is not None
 
     # ------------------------------------------------------------------
     def _relative_residuals(
@@ -537,6 +537,8 @@ class EmbeddingEngine:
         self,
         graph: WeightedGraph,
         added_edges: np.ndarray | None = None,
+        *,
+        timings=None,
     ) -> SpectralEmbedding:
         """Return the spectral embedding of ``graph``, reusing warm state.
 
@@ -551,6 +553,10 @@ class EmbeddingEngine:
             refresh, recorded for bookkeeping.  The warm path does not trust
             it for correctness: the incremental solver diffs the Laplacians
             itself, so removals and weight changes are absorbed exactly too.
+        timings:
+            Optional :class:`~repro.core.instrumentation.StageTimings`; warm
+            refreshes are recorded under ``embedding_warm``, cold solves and
+            fallbacks under ``embedding`` (as on the stateless path).
 
         Returns
         -------
@@ -559,6 +565,19 @@ class EmbeddingEngine:
             :func:`~repro.embedding.spectral.spectral_embedding_matrix`
             output.
         """
+        start = time.perf_counter()
+        embedding = self._refresh(graph)
+        if timings is not None:
+            # The stage name is only known after the refresh, hence an
+            # interval instead of a stage block.
+            stage = "embedding_warm" if self.last_mode in self.WARM_MODES else "embedding"
+            timings.add_interval(
+                stage, start, time.perf_counter(), mode=self.last_mode,
+                fallbacks=self.stats.fallbacks, factorizations=self.stats.factorizations,
+            )
+        return embedding
+
+    def _refresh(self, graph: WeightedGraph) -> SpectralEmbedding:
         n = graph.n_nodes
         k = min(self.r - 1, n - 1)
         if k < 1:
@@ -612,7 +631,39 @@ class EmbeddingEngine:
         self._sync_factorizations()
 
         self.last_mode = mode
+        # A multilevel cold solve ranks candidates well but misses the
+        # publish bounds; warm refreshes pass the engine's residual test.
+        self.exact_grade = mode in self.WARM_MODES or self.method != "multilevel"
         self._values = values
         self._vectors = vectors
         self._n_nodes = n
         return embedding_from_eigenpairs(values[:k], vectors[:, :k], self.sigma_sq)
+
+
+class StatelessEngine:
+    """The recompute-every-refresh path in the engine protocol.
+
+    Every refresh is one cold
+    :func:`~repro.embedding.spectral.spectral_embedding_matrix` solve, timed
+    under the ``embedding`` stage when ``timings`` is given.
+    """
+
+    #: No refresh counters: a stateless engine reuses nothing.
+    stats = None
+
+    def __init__(
+        self, r: int = 5, *, sigma_sq: float = np.inf, method: str = "auto",
+        seed: int | None = 0, multilevel_coarse_size: int = 200,
+    ) -> None:
+        self.r = int(r)
+        self.method = method
+        self._options = dict(sigma_sq=sigma_sq, method=method, seed=seed,
+                             multilevel_coarse_size=multilevel_coarse_size)
+        #: A multilevel solve is approximate; every other method is exact.
+        self.exact_grade = method != "multilevel"
+
+    def refresh(self, graph: WeightedGraph, added_edges=None, *, timings=None) -> SpectralEmbedding:
+        """Solve the embedding of ``graph`` from scratch."""
+        stage = nullcontext() if timings is None else timings.stage("embedding", method=self.method)
+        with stage:
+            return spectral_embedding_matrix(graph, self.r, **self._options)

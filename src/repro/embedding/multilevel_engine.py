@@ -268,6 +268,10 @@ class MultilevelEmbeddingEngine:
         )
         self.stats = MultilevelEngineStats()
         self.last_mode: str | None = None
+        #: Refinements are embedding-grade (up to ~2 degrees of subspace
+        #: error and 1e-2 relative eigenvalue error on medium meshes):
+        #: enough to rank candidates, never published.
+        self.exact_grade = False
         self._hierarchy: CoarseningHierarchy | None = None
         self._preconditioners: list | None = None
         self._last_graph: WeightedGraph | None = None

@@ -14,12 +14,12 @@ decomposition severed:
    graph that the union is missing is admitted — the same Step-2 backbone
    the serial learner starts from, so the stitched graph is connected by
    construction.
-3. **Correct**: a bounded number of global sweeps re-ranks *every*
-   candidate edge still absent from the stitched graph — cut edges and
-   interior edges alike — by the same spectral sensitivity the inner loop
-   uses (Step 3 of Algorithm 1, evaluated on a global embedding) and
-   admits the influential ones: the cross-boundary and cross-shard
-   structure no per-shard fit could see.
+3. **Correct**: ``stitch_sweeps`` steps of the serial learner's own
+   densification kernel (:class:`~repro.core.sgl.Densifier`) re-rank
+   *every* candidate edge still absent from the stitched graph — cut edges
+   and interior edges alike — on a global embedding and admit the
+   influential ones: the cross-boundary and cross-shard structure no
+   per-shard fit could see.
 4. **Scale**: Step-5 spectral edge scaling runs once, globally, on the
    stitched graph (per-shard fits skip it), so a ``num_parts=1`` run is
    bit-compatible with the serial :class:`~repro.core.sgl.SGLearner`.
@@ -51,10 +51,12 @@ import numpy as np
 
 from repro.core.config import SGLConfig
 from repro.core.instrumentation import StageTimings
-from repro.core.scaling import spectral_edge_scaling
-from repro.core.sensitivity import edge_sensitivities
-from repro.core.sgl import SGLearner, SGLResult
-from repro.embedding.spectral import SpectralEmbedding, spectral_embedding_matrix
+# Not called here (the kernel in repro.core.sgl calls them); kept importable
+# because perfbench/layertrace.py patches these names in every learner module.
+from repro.core.scaling import spectral_edge_scaling  # noqa: F401
+from repro.core.sensitivity import edge_sensitivities  # noqa: F401
+from repro.core.sgl import Densifier, SGLearner, SGLResult, build_engine, scale_step
+from repro.embedding.spectral import SpectralEmbedding
 from repro.graphs.graph import WeightedGraph
 from repro.knn.knn_graph import knn_graph
 from repro.knn.mst import maximum_spanning_tree
@@ -122,15 +124,16 @@ class ShardedSGLResult:
     embedding:
         The spectral embedding of ``graph`` (the scaled stitched graph)
         from the last stitch sweep, when that sweep added no edge and was
-        not a multilevel solve; ``None`` otherwise.
+        exact-grade (not a multilevel solve); ``None`` otherwise.
         :func:`repro.artifacts.save_result` stores it instead of solving
         again.
     stop_reason:
         Why the stitch sweeps stopped, as for
-        :attr:`repro.core.sgl.SGLResult.stop_reason` (``"tol"``: no missing
-        candidate passed ``tol``; ``"pool_exhausted"``: no candidate was
-        missing; ``"max_iterations"``: ``stitch_sweeps`` ran out).  A
-        one-part fit reports its shard's reason.
+        :attr:`repro.core.sgl.SGLResult.stop_reason` (``"tol"`` /
+        ``"no_progress"``: no missing candidate passed ``tol``;
+        ``"pool_exhausted"``: no candidate was missing;
+        ``"max_iterations"``: ``stitch_sweeps`` ran out).  A one-part fit
+        reports its shard's reason.
     """
 
     graph: WeightedGraph
@@ -317,20 +320,14 @@ class ShardedSGLearner:
             shard_results = self._fit_shards(voltages, shard_nodes)
 
         with timings.stage("stitch", sweeps=self.stitch_sweeps):
-            stitched, stitch_stats, embedding, stop_reason = self._stitch(
+            unscaled, stitch_stats, embedding, stop_reason = self._stitch(
                 voltages, candidates, partition, shard_nodes, shard_results
             )
             set_attributes(**stitch_stats)
 
-        unscaled = stitched
-        scaling_factor = 1.0
-        if config.edge_scaling and currents is not None:
-            with timings.stage("edge_scaling"):
-                stitched, scaling_factor = spectral_edge_scaling(
-                    stitched, voltages, currents
-                )
-        if embedding is not None:
-            embedding = embedding.rescaled(scaling_factor)
+        stitched, scaling_factor, embedding = scale_step(
+            config, unscaled, voltages, currents, embedding, timings
+        )
 
         result = ShardedSGLResult(
             graph=stitched,
@@ -431,8 +428,6 @@ class ShardedSGLearner:
             np.concatenate(weights) if weights else np.empty(0),
         )
 
-        cand_edges = np.column_stack([candidates.rows, candidates.cols])
-        cand_weights = candidates.weights
         if partition.n_parts == 1:
             # Nothing was severed: the single "shard" fit *is* the serial
             # fit, and skipping the repair stages keeps it bit-compatible.
@@ -445,82 +440,47 @@ class ShardedSGLearner:
                 "components_before_stitch": 1,
             }, only.embedding, only.stop_reason
 
-        key_cand = candidates.rows * np.int64(n_nodes) + candidates.cols
-        key_stitched = stitched.rows * np.int64(n_nodes) + stitched.cols
-        # Candidate edges already realised by some shard's fit (shards can
-        # also learn non-candidate edges — connectivity repairs — which
-        # simply stay in the union).
-        present = np.isin(key_cand, key_stitched)
-        n_comp = partition.n_parts
-
         # (a) Reconnect the way Algorithm 1's Step 2 would have: admit
         # every edge of the candidate graph's global maximum spanning
         # tree still missing from the union.  Its cross-shard edges are
         # the heavy boundary links no per-shard fit could see, and the
         # tree spans all vertices, so the stitched graph is connected
-        # by construction.
+        # by construction.  (Shards can also learn non-candidate edges —
+        # connectivity repairs — which simply stay in the union.)
         tree = maximum_spanning_tree(candidates)
-        key_tree = tree.rows * np.int64(n_nodes) + tree.cols
-        missing = ~np.isin(key_tree, key_stitched)
-        stitched = stitched.add_edges(
-            np.column_stack([tree.rows[missing], tree.cols[missing]]),
-            tree.weights[missing],
-        )
-        present |= np.isin(key_cand, key_tree)
+        missing = ~stitched.has_edges(tree.edges)
+        stitched = stitched.add_edges(tree.edges[missing], tree.weights[missing])
         tree_cross = assignment[tree.rows] != assignment[tree.cols]
-        n_connectors = int(tree_cross.sum())
 
-        # (b) Correct: bounded global sensitivity sweeps over every
-        # candidate edge the stitched graph is still missing — the
-        # cross-boundary edges *and* the interior edges a shard-local
-        # embedding ranked differently than the global one would have
-        # (Step 3 of Algorithm 1, evaluated globally).
+        # (b) Correct: bounded global sensitivity sweeps of the shared
+        # densification kernel over every candidate edge the stitched graph
+        # is still missing — the cross-boundary edges *and* the interior
+        # edges a shard-local embedding ranked differently than the global
+        # one would have (Step 3 of Algorithm 1, evaluated globally).  Each
+        # sweep embeds the stitched graph from scratch (with the multilevel
+        # solver when the shards ran the multilevel engine).
+        absent = ~stitched.has_edges(candidates.edges)
         method = (
             "multilevel"
             if config.embedding_engine == "multilevel"
             else config.eigensolver
         )
-        batch = config.edges_per_iteration(n_nodes)
-        added_per_sweep: list[int] = []
-        final_embedding: SpectralEmbedding | None = None
-        stop_reason = "max_iterations"
-        for _ in range(self.stitch_sweeps):
-            remaining = np.where(~present)[0]
-            if remaining.size == 0:
-                stop_reason = "pool_exhausted"
-                break
-            embedding = spectral_embedding_matrix(
-                stitched,
-                config.r,
-                sigma_sq=config.sigma_sq,
-                method=method,
-                seed=config.seed,
-                multilevel_coarse_size=config.multilevel_coarse_size,
-            )
-            sensitivities = edge_sensitivities(
-                embedding, voltages, cand_edges[remaining]
-            )
-            order = np.argsort(sensitivities)[::-1][:batch]
-            chosen = order[sensitivities[order] > config.tol]
-            if chosen.size == 0:
-                added_per_sweep.append(0)
-                # A multilevel solve is approximate: publish a cold one.
-                final_embedding = None if method == "multilevel" else embedding
-                stop_reason = "tol"
-                break
-            selected = remaining[chosen]
-            stitched = stitched.add_edges(
-                cand_edges[selected], cand_weights[selected]
-            )
-            present[selected] = True
-            added_per_sweep.append(int(chosen.size))
+        kernel = Densifier(
+            config,
+            stitched,
+            candidates.edges[absent],
+            candidates.weights[absent],
+            build_engine(dataclasses.replace(config, eigensolver=method), "stateless"),
+        )
+        stop_reason = kernel.run(self.stitch_sweeps, voltages)
 
         crossing = assignment[candidates.rows] != assignment[candidates.cols]
+        present = kernel.graph.has_edges(candidates.edges)
         stats = {
             "n_cut_candidates": int(crossing.sum()),
-            "connector_edges": n_connectors,
-            "correction_edges": added_per_sweep,
+            "connector_edges": int(tree_cross.sum()),
+            "correction_edges": [r.n_edges_added for r in kernel.history.records],
             "cut_edges_admitted": int((present & crossing).sum()),
-            "components_before_stitch": int(n_comp),
+            "components_before_stitch": partition.n_parts,
         }
-        return stitched, stats, final_embedding, stop_reason
+        return kernel.graph, stats, kernel.final_embedding, stop_reason

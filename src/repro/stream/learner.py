@@ -6,8 +6,9 @@ the serve-N-while-fitting-N+1 world of ROADMAP item 3.  One initial
 batch learner would; every subsequent :meth:`update` appends a new batch to
 the window and then chooses, per batch, between two paths:
 
-* **incremental** — a bounded number of densification mini-iterations over
-  the *existing* candidate pool, reusing the persistent warm-started
+* **incremental** — a bounded number of steps of the batch learner's own
+  densification kernel (:class:`~repro.core.sgl.Densifier`) over the
+  *existing* candidate pool, reusing the persistent warm-started
   :class:`~repro.embedding.EmbeddingEngine` (Woodbury-corrected refreshes,
   no cold eigensolve) and finishing with a Step-5 rescale against the
   current window.  Cost: a few warm refreshes — a small fraction of a fit.
@@ -48,12 +49,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import SGLConfig
-from repro.core.history import IterationRecord, SGLHistory
+from repro.core.history import SGLHistory
 from repro.core.instrumentation import StageTimings
-from repro.core.scaling import spectral_edge_scaling
-from repro.core.sensitivity import edge_sensitivities
-from repro.core.sgl import SGLearner, SGLResult
-from repro.embedding.engine import EmbeddingEngine
+# Not called here (the kernel in repro.core.sgl calls them); kept importable
+# because perfbench/layertrace.py patches these names in every learner module.
+from repro.core.scaling import spectral_edge_scaling  # noqa: F401
+from repro.core.sensitivity import edge_sensitivities  # noqa: F401
+from repro.core.sgl import Densifier, SGLearner, SGLResult, build_engine, scale_step
 from repro.graphs.graph import WeightedGraph
 from repro.measurements.generator import MeasurementSet
 from repro.obs.tracing import set_attributes, span as obs_span
@@ -83,6 +85,10 @@ class StreamUpdate:
         Edges added to the learned topology by this update.
     max_sensitivity:
         Largest remaining candidate-edge sensitivity after the update.
+    stop_reason:
+        Why the update's densification stopped, one of
+        :data:`repro.core.sgl.STOP_REASONS` (``"max_iterations"`` on an
+        incremental update means ``incremental_iterations`` ran out).
     version:
         The registry snapshot published for this update (``None`` without a
         registry).
@@ -99,6 +105,7 @@ class StreamUpdate:
     scaling_factor: float
     n_edges_added: int
     max_sensitivity: float
+    stop_reason: str = "max_iterations"
     version: object | None = None
     timings: StageTimings = field(default_factory=StageTimings)
     wall_seconds: float = 0.0
@@ -170,14 +177,11 @@ class OnlineSGLearner:
 
         self._voltages: np.ndarray | None = None
         self._currents: np.ndarray | None = None
-        self._graph: WeightedGraph | None = None  # unscaled working topology
+        # Densification kernel over the unscaled working topology.
+        self._kernel: Densifier | None = None
         self._scaled_graph: WeightedGraph | None = None
         self._scaling_factor = 1.0
         self._candidates: WeightedGraph | None = None
-        self._pool_edges: np.ndarray | None = None
-        self._pool_weights: np.ndarray | None = None
-        self._engine: EmbeddingEngine | None = None
-        self._embedding: np.ndarray | None = None
         self._refit_sensitivity = config.tol
         self._last_result: SGLResult | None = None
         self._version = None
@@ -194,10 +198,10 @@ class OnlineSGLearner:
 
     @property
     def embedding(self):
-        """The current :class:`~repro.embedding.SpectralEmbedding`."""
-        if self._embedding is None:
+        """The :class:`~repro.embedding.SpectralEmbedding` of the unscaled working graph."""
+        if self._kernel is None:
             raise RuntimeError("call fit() before reading the embedding")
-        return self._embedding
+        return self._kernel.embedding
 
     @property
     def window(self) -> MeasurementSet:
@@ -236,41 +240,69 @@ class OnlineSGLearner:
             if self._currents is not None:
                 self._currents = self._currents[:, -self.max_window :]
 
-    def _adopt_refit(self, result: SGLResult) -> None:
-        """Rebuild the incremental working state from a fresh full fit."""
+    def _refit(self, timings: StageTimings) -> tuple[SGLHistory, int, str]:
+        """Full batch fit of the window; rebuilds the kernel from its graph.
+
+        Returns the fit's history, the edges it added and why it stopped.
+        """
         config = self.config
+        result = SGLearner(config).fit(self.window, timings=timings)
         self._last_result = result
-        self._graph = result.unscaled_graph
         self._scaled_graph = result.graph
         self._scaling_factor = result.scaling_factor
         self._candidates = result.knn_graph
         pool_mask = ~result.unscaled_graph.has_edges(self._candidates.edges)
-        self._pool_edges = self._candidates.edges[pool_mask]
-        self._pool_weights = self._candidates.weights[pool_mask].copy()
-        self._engine = EmbeddingEngine(
-            config.r,
-            sigma_sq=config.sigma_sq,
-            method=config.eigensolver,
-            seed=config.seed,
-            multilevel_coarse_size=config.multilevel_coarse_size,
+        # Updates need warm refreshes, so the stream always runs the
+        # incremental engine, seeded by one cold solve of the refit graph.
+        self._kernel = Densifier(
+            config,
+            result.unscaled_graph,
+            self._candidates.edges[pool_mask],
+            self._candidates.weights[pool_mask].copy(),
+            build_engine(config, "incremental"),
         )
-        self._embedding = self._engine.refresh(self._graph, None)
-        final = result.history.records[-1].max_sensitivity if len(result.history) else 0.0
-        self._refit_sensitivity = max(config.tol, final)
+        self._kernel.refresh()
+        self._refit_sensitivity = max(config.tol, _last_sensitivity(result.history))
         self.drift.reset(self.window, self._scaled_graph)
+        n_added = result.graph.n_edges - result.initial_graph.n_edges
+        return result.history, n_added, result.stop_reason
 
-    def _publish(self, timings: StageTimings, update: StreamUpdate | None, *, mode: str,
-                 decision: DriftDecision | None, history: SGLHistory,
-                 stop_reason: str) -> object | None:
+    def _incremental_pass(self, timings: StageTimings) -> tuple[SGLHistory, int, str]:
+        """Bounded densification against the current window (no cold solve).
+
+        Returns the pass's history, the edges it added and why it stopped
+        (``"max_iterations"`` is ``incremental_iterations`` running out).
+        """
+        kernel = self._kernel
+        stop_reason = kernel.run(self.incremental_iterations, self._voltages, timings)
+        # The next pass and the published snapshot need the final graph's
+        # embedding: a warm refresh keyed to the edges just added.
+        kernel.refresh(timings)
+        self._scaled_graph, self._scaling_factor, _ = scale_step(
+            self.config, kernel.graph, self._voltages, self._currents, None, timings
+        )
+        if (
+            self.degradation_ratio is not None
+            and _last_sensitivity(kernel.history)
+            > self.degradation_ratio * self._refit_sensitivity
+        ):
+            self.drift.flag_degradation()
+        n_added = sum(record.n_edges_added for record in kernel.history.records)
+        return kernel.history, n_added, stop_reason
+
+    def _publish(self, timings: StageTimings, mode: str, decision: DriftDecision | None,
+                 outcome: tuple[SGLHistory, int, str]) -> object | None:
         if self.registry is None:
             return None
+        history, _, stop_reason = outcome
         with timings.stage("publish"):
             # The engine embeds the unscaled working graph; the artifact
             # stores the Step-5 scaled one, whose Laplacian eigenvalues are
             # the unscaled ones times the scaling factor.
+            final = self._kernel.final_embedding
             snapshot = SGLResult(
                 graph=self._scaled_graph,
-                unscaled_graph=self._graph,
+                unscaled_graph=self._kernel.graph,
                 initial_graph=self._last_result.initial_graph,
                 knn_graph=self._candidates,
                 history=history,
@@ -278,8 +310,8 @@ class OnlineSGLearner:
                 scaling_factor=self._scaling_factor,
                 config=self.config,
                 timings=timings,
-                engine_stats=self._engine.stats.as_dict(),
-                embedding=self._embedding.rescaled(self._scaling_factor),
+                engine_stats=self._kernel.engine.stats.as_dict(),
+                embedding=None if final is None else final.rescaled(self._scaling_factor),
                 stop_reason=stop_reason,
             )
             metadata = {
@@ -298,42 +330,43 @@ class OnlineSGLearner:
             )
         return self._version
 
+    def _accept(self, mode: str, decision: DriftDecision | None,
+                outcome: tuple[SGLHistory, int, str], version, timings: StageTimings,
+                start: float) -> StreamUpdate:
+        history, n_added, stop_reason = outcome
+        update = StreamUpdate(
+            index=self._n_updates,
+            mode=mode,
+            decision=decision,
+            graph=self._scaled_graph,
+            scaling_factor=self._scaling_factor,
+            n_edges_added=n_added,
+            max_sensitivity=_last_sensitivity(history),
+            stop_reason=stop_reason,
+            version=version,
+            timings=timings,
+            wall_seconds=time.perf_counter() - start,
+        )
+        self._n_updates += 1
+        self.updates.append(update)
+        return update
+
     # ------------------------------------------------------------------
     def fit(self, measurements: MeasurementSet) -> StreamUpdate:
         """Learn the initial graph from the first measurement window."""
-        if self._graph is not None:
+        if self._kernel is not None:
             raise RuntimeError("fit() already ran; use update() for new batches")
         start = time.perf_counter()
         timings = StageTimings()
         with obs_span("stream.fit", n_nodes=measurements.n_nodes):
             self._append_window(measurements)
-            result = SGLearner(self.config).fit(self.window, timings=timings)
-            self._adopt_refit(result)
-            version = self._publish(
-                timings, None, mode="initial", decision=None, history=result.history,
-                stop_reason=result.stop_reason,
-            )
-        update = StreamUpdate(
-            index=0,
-            mode="initial",
-            decision=None,
-            graph=self._scaled_graph,
-            scaling_factor=self._scaling_factor,
-            n_edges_added=result.graph.n_edges - result.initial_graph.n_edges,
-            max_sensitivity=(
-                result.history.records[-1].max_sensitivity if len(result.history) else 0.0
-            ),
-            version=version,
-            timings=timings,
-            wall_seconds=time.perf_counter() - start,
-        )
-        self._n_updates = 1
-        self.updates.append(update)
-        return update
+            outcome = self._refit(timings)
+            version = self._publish(timings, "initial", None, outcome)
+        return self._accept("initial", None, outcome, version, timings, start)
 
     def update(self, new_measurements: MeasurementSet) -> StreamUpdate:
         """Fold one new measurement batch into the learned graph."""
-        if self._graph is None:
+        if self._kernel is None:
             raise RuntimeError("call fit() with the initial window first")
         start = time.perf_counter()
         timings = StageTimings()
@@ -346,134 +379,20 @@ class OnlineSGLearner:
                 decision = self.drift.assess(new_measurements)
             self._append_window(new_measurements)
             if decision.refit:
-                mode = "refit"
-                result = SGLearner(self.config).fit(self.window, timings=timings)
-                self._adopt_refit(result)
-                history = result.history
-                n_added = result.graph.n_edges - result.initial_graph.n_edges
-                max_sensitivity = (
-                    history.records[-1].max_sensitivity if len(history) else 0.0
-                )
-                stop_reason = result.stop_reason
+                mode, outcome = "refit", self._refit(timings)
             else:
-                mode = "incremental"
-                history, n_added, max_sensitivity, stop_reason = self._incremental_pass(
-                    timings
-                )
-            version = self._publish(
-                timings, None, mode=mode, decision=decision, history=history,
-                stop_reason=stop_reason,
-            )
+                mode, outcome = "incremental", self._incremental_pass(timings)
+            version = self._publish(timings, mode, decision, outcome)
             set_attributes(
                 mode=mode,
                 reason=decision.reason,
-                n_edges_added=n_added,
-                max_sensitivity=max_sensitivity,
+                n_edges_added=outcome[1],
+                max_sensitivity=_last_sensitivity(outcome[0]),
                 version=None if version is None else version.version,
             )
-        update = StreamUpdate(
-            index=self._n_updates,
-            mode=mode,
-            decision=decision,
-            graph=self._scaled_graph,
-            scaling_factor=self._scaling_factor,
-            n_edges_added=n_added,
-            max_sensitivity=max_sensitivity,
-            version=version,
-            timings=timings,
-            wall_seconds=time.perf_counter() - start,
-        )
-        self._n_updates += 1
-        self.updates.append(update)
-        return update
+        return self._accept(mode, decision, outcome, version, timings, start)
 
-    # ------------------------------------------------------------------
-    def _incremental_pass(
-        self, timings: StageTimings
-    ) -> tuple[SGLHistory, int, float, str]:
-        """Bounded densification against the current window (no cold solve).
 
-        Returns the pass's history, the edges it added, the last maximum
-        sensitivity and why it stopped (see :data:`repro.core.sgl.
-        STOP_REASONS`; ``"max_iterations"`` is ``incremental_iterations``
-        running out).
-        """
-        config = self.config
-        voltages = self._voltages
-        history = SGLHistory()
-        total_added = 0
-        max_sensitivity = 0.0
-        batch_size = config.edges_per_iteration(self._graph.n_nodes)
-        stop_reason = "max_iterations"
-        for iteration in range(self.incremental_iterations):
-            if self._pool_edges.shape[0] == 0:
-                stop_reason = "pool_exhausted"
-                break
-            with timings.stage("sensitivity"):
-                sensitivities = edge_sensitivities(
-                    self._embedding,
-                    voltages,
-                    self._pool_edges,
-                    n_samples=config.sensitivity_samples,
-                    seed=config.seed,
-                )
-            max_sensitivity = float(sensitivities.max())
-            if max_sensitivity < config.tol:
-                history.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        max_sensitivity=max_sensitivity,
-                        n_edges=self._graph.n_edges,
-                        n_edges_added=0,
-                    )
-                )
-                stop_reason = "tol"
-                break
-            with timings.stage("edge_selection"):
-                order = np.argsort(sensitivities)[::-1][:batch_size]
-                chosen = order[sensitivities[order] > config.tol]
-                add_edges = self._pool_edges[chosen]
-                add_weights = self._pool_weights[chosen]
-                self._graph = self._graph.add_edges(add_edges, add_weights)
-                keep = np.ones(self._pool_edges.shape[0], dtype=bool)
-                keep[chosen] = False
-                self._pool_edges = self._pool_edges[keep]
-                self._pool_weights = self._pool_weights[keep]
-            total_added += int(chosen.size)
-            history.append(
-                IterationRecord(
-                    iteration=iteration,
-                    max_sensitivity=max_sensitivity,
-                    n_edges=self._graph.n_edges,
-                    n_edges_added=int(chosen.size),
-                )
-            )
-            if chosen.size == 0:
-                stop_reason = "no_progress"
-                break
-            # Warm-started refresh keyed to exactly the edges just added.
-            refresh_start = time.perf_counter()
-            self._embedding = self._engine.refresh(self._graph, add_edges)
-            refresh_end = time.perf_counter()
-            stage = (
-                "embedding_warm"
-                if self._engine.last_mode in ("warm-rr", "warm-inverse")
-                else "embedding"
-            )
-            timings.add_interval(
-                stage, refresh_start, refresh_end, mode=self._engine.last_mode
-            )
-        if config.edge_scaling and self._currents is not None:
-            with timings.stage("edge_scaling"):
-                self._scaled_graph, self._scaling_factor = spectral_edge_scaling(
-                    self._graph, voltages, self._currents
-                )
-        else:
-            self._scaled_graph = self._graph
-            self._scaling_factor = 1.0
-        if (
-            self.degradation_ratio is not None
-            and max_sensitivity > self.degradation_ratio * self._refit_sensitivity
-        ):
-            self.drift.flag_degradation()
-        return history, total_added, max_sensitivity, stop_reason
+def _last_sensitivity(history: SGLHistory) -> float:
+    """The last recorded maximum sensitivity (0.0 for an empty history)."""
+    return history.records[-1].max_sensitivity if len(history) else 0.0

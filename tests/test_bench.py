@@ -78,6 +78,7 @@ def test_sgl_record_contents(tiny_records):
     assert record.quality["resistance_correlation"] > 0.5
     assert record.peak_memory_bytes > 0
     assert record.info["converged"]
+    assert record.info["stop_reason"] == "tol"
 
 
 def test_record_dict_roundtrip(tiny_records):
@@ -173,6 +174,18 @@ def test_compare_flags_quality_regression(tiny_records):
     report = compare(baseline, worse)
     assert not report.ok
     assert any(reg.kind == "quality" for reg in report.regressions)
+
+
+def test_compare_bounds_density_by_the_quality_threshold():
+    # A loose time threshold (CI's cross-machine 9.0) must not loosen the
+    # density bound: a 10 % denser graph fails at the default 5 %.
+    baseline = make_artifact("unit", [_synthetic_record(1.0)])
+    denser = json.loads(json.dumps(baseline))
+    denser["results"][0]["quality"]["density"] *= 1.10
+    report = compare(baseline, denser, time_threshold=9.0)
+    assert [reg.kind for reg in report.regressions] == ["density"]
+    assert compare(baseline, denser, time_threshold=9.0, quality_threshold=0.2).ok
+    assert compare(denser, baseline, time_threshold=9.0).ok
 
 
 def test_compare_treats_new_scenarios_as_notes(tiny_records):

@@ -8,6 +8,7 @@ from repro.artifacts import ModelRegistry
 from repro.bench import make_artifact, validate_artifact
 from repro.bench.cli import main as bench_main
 from repro.bench.streaming import run_stream_bench, stream_records_for_scenario
+from repro.core.sgl import STOP_REASONS
 
 
 class TestStreamBench:
@@ -33,6 +34,11 @@ class TestStreamBench:
         assert update.info["n_incremental"] + update.info["n_refits"] == 3
         assert len(update.info["reasons"]) == 3
         assert update.info["latest_version"] == 4  # fit + 3 updates
+        # Why each record's densification stopped.
+        assert len(update.info["stop_reasons"]) == 3
+        assert set(update.info["stop_reasons"]) <= set(STOP_REASONS)
+        assert records[0].info["stop_reason"] in STOP_REASONS
+        assert records[2].info["stop_reason"] in STOP_REASONS
 
     def test_lineage_reaches_the_initial_fit(self, records):
         update = records[1]

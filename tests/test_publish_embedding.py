@@ -11,8 +11,10 @@ solve only when the fit has none.  These tests pin
 * that the reused embedding matches a cold solve of the stored (scaled)
   graph on the paper's five medium families, for every engine path and the
   sharded learner;
+* that an approximate (multilevel-eigensolver) cold solve is never
+  published;
 * that the stream learner publishes the embedding of the scaled graph it
-  stores, not of its unscaled working graph.
+  stores, not of its unscaled working graph, in every update mode.
 """
 
 import dataclasses
@@ -31,7 +33,7 @@ from repro.graphs.generators import fe_mesh, grid_2d
 from repro.measurements import simulate_measurements
 from repro.metrics.resistance import sample_node_pairs
 from repro.partition import ShardedSGLearner
-from repro.stream import MeasurementStream, OnlineSGLearner
+from repro.stream import DriftDetector, MeasurementStream, OnlineSGLearner
 
 MEDIUM_FAMILIES = ("grid_2d", "circuit", "airfoil", "crack", "fem")
 MAX_ANGLE_DEG = 1.0
@@ -190,6 +192,29 @@ def test_multilevel_publishes_a_cold_solve(tmp_path):
     assert loaded.meta["embedding_source"] == "save"
 
 
+@pytest.fixture(scope="module")
+def large_grid_data():
+    return simulate_measurements(grid_2d(40, 40), n_measurements=50, seed=0)
+
+
+def test_multilevel_eigensolver_cold_solve_is_not_published(large_grid_data, tmp_path):
+    # A stateless fit whose every refresh is a multilevel cold solve: the
+    # last one was 14 degrees / 4e-2 off a dense solve of the final graph,
+    # so the fit keeps no embedding and save_result solves cold.
+    options = dict(beta=0.01, eigensolver="multilevel", multilevel_coarse_size=100)
+    result = SGLearner(embedding_engine="stateless", **options).fit(large_grid_data)
+    assert result.stop_reason == "tol" and result.embedding is None
+    loaded = load_result(save_result(result, tmp_path / "model.npz"))
+    assert loaded.meta["embedding_source"] == "save"
+    # The incremental engine only cold-solves its first refresh; its final
+    # embedding is a warm refresh that passed the residual test, so it is
+    # kept and meets the publish bounds against an exact (dense) solve.
+    result = SGLearner(embedding_engine="incremental", **options).fit(large_grid_data)
+    assert result.stop_reason == "tol" and result.embedding is not None
+    exact = dataclasses.replace(result.config, eigensolver="dense")
+    assert_matches_cold_solve(result.embedding, result.graph, exact)
+
+
 # ----------------------------------------------------------------------
 # Stream publishes the embedding of the scaled graph it stores
 # ----------------------------------------------------------------------
@@ -197,15 +222,21 @@ def test_stream_artifact_embedding_describes_the_stored_graph(tmp_path):
     truth = fe_mesh(1600, seed=3)
     stream = MeasurementStream(truth, batch_size=20, seed=0)
     registry = ModelRegistry(tmp_path / "registry")
-    learner = OnlineSGLearner(registry=registry, model_name="mesh", max_window=60)
+    learner = OnlineSGLearner(
+        registry=registry,
+        model_name="mesh",
+        max_window=60,
+        drift=DriftDetector(max_updates_between_refits=2),
+    )
     updates = [learner.fit(stream.next_batch())]
     updates += [learner.update(stream.next_batch()) for _ in range(3)]
-    assert {u.mode for u in updates} >= {"initial", "incremental"}
+    assert {u.mode for u in updates} == {"initial", "incremental", "refit"}
     for update in updates:
         artifact = load_result(update.version.path)
         assert update.scaling_factor != 1.0
         assert artifact.meta["embedding_source"] == "fit"
-        assert artifact.meta["stop_reason"] in STOP_REASONS
+        assert update.stop_reason in STOP_REASONS
+        assert artifact.meta["stop_reason"] == update.stop_reason
         pairs = sample_node_pairs(artifact.n_nodes, 300, seed=1)
         cold = cold_embedding(artifact.graph, artifact.config)
 
